@@ -33,7 +33,6 @@ from .sql.ast import SelectQuery
 from .sql.classify import classify
 from .sql.params import (
     ParameterError,
-    bind_parameters,
     count_parameters,
     referenced_tables,
 )
@@ -143,38 +142,7 @@ class FuzzyDatabase:
             if not isinstance(statement, SelectQuery):
                 raise DatabaseError("query() expects a SELECT statement")
             return session.query(statement, metrics=metrics)
-        if isinstance(query, str):
-            if self.plan_cache is not None:
-                return self._query_cached(query, metrics)
-            statement = parse_statement(query)
-            if not isinstance(statement, SelectQuery):
-                raise DatabaseError("query() expects a SELECT statement")
-            query = statement
-        elif sql_text is not None and self.plan_cache is not None:
-            # execute()/execute_statement() arrive here with the statement
-            # already parsed; the cache still keys on the SQL text.
-            return self._query_cached(sql_text, metrics, statement=query)
-        if (
-            self.registry is not None
-            or self.query_log is not None
-            or self.recorder is not None
-        ):
-            import time
-
-            from .observe.metrics import QueryMetrics
-
-            collector = metrics if metrics is not None else QueryMetrics()
-            started = time.perf_counter()
-            result = self._query(query, collector)
-            wall = time.perf_counter() - started
-            self._observe_query(
-                sql_text if sql_text is not None else repr(query),
-                collector,
-                wall,
-                len(result),
-            )
-            return result
-        return self._query(query, metrics)
+        return self._execute(query, (), metrics, sql_text=sql_text)
 
     def _observe_query(self, sql_text, collector, wall, rows) -> None:
         """Fold one finished query into every attached workload sink."""
@@ -202,26 +170,6 @@ class FuzzyDatabase:
             )
         return evaluate_health(lifetime_window(self.registry), thresholds)
 
-    def _query(self, query: SelectQuery, metrics) -> FuzzyRelation:
-        if metrics is not None:
-            metrics.nesting_type = classify(query, self.catalog).value
-        if self.auto_unnest:
-            try:
-                plan = unnest(query, self.catalog)
-                result = plan.execute(
-                    self.catalog, self._make_evaluator, metrics=metrics
-                )
-                if metrics is not None and metrics.strategy is None:
-                    metrics.strategy = "memory/unnest: rewritten in-memory plan"
-                return result
-            except UnnestError:
-                pass
-        if metrics is not None and metrics.rewrite is None:
-            metrics.rewrite = "none (naive fallback)"
-        if metrics is not None and metrics.strategy is None:
-            metrics.strategy = "memory/naive: nested-loop evaluation"
-        return self._make_evaluator(self.catalog).evaluate(query)
-
     # ------------------------------------------------------------------
     # Prepared statements and the plan cache
     # ------------------------------------------------------------------
@@ -246,46 +194,59 @@ class FuzzyDatabase:
             raise DatabaseError("prepare() expects a SELECT statement")
         nesting = classify(template, self.catalog)
         n_params = count_parameters(template)
-        if not self.auto_unnest:
-            artifact = PlanArtifact("naive")
-        elif n_params:
-            # Rewrites are structural, but the in-memory pipeline embeds
-            # the query values; bind first, dispatch per execution.
-            artifact = PlanArtifact("dispatch")
-        else:
-            try:
-                plan = unnest(template, self.catalog)
-                artifact = PlanArtifact(
-                    "memory", plan=plan, rule=plan.rule or plan.nesting_type
-                )
-            except UnnestError:
-                artifact = PlanArtifact("naive")
+        artifact = self._plan_template(template, n_params)
         if text is None:
             text = sql if isinstance(sql, str) else str(sql)
         return PreparedQuery(self, text, template, nesting, n_params, artifact)
 
-    def _query_cached(
-        self, sql: str, metrics, statement: Optional[SelectQuery] = None
-    ) -> FuzzyRelation:
-        """The plan-cache lookup behind textual ``query()`` calls.
+    def _plan_template(self, template: SelectQuery, n_params: int) -> PlanArtifact:
+        """Unnest ahead of time when the rewrite applies and values are known.
 
-        ``statement`` carries an already-parsed AST (the ``execute()``
-        path) so a cache miss does not re-parse the text.
+        The in-memory pipeline embeds the query values, so parameterized
+        statements get a ``dispatch`` artifact: each execution binds its
+        values and plans the bound statement here.
         """
-        key = normalize_sql(sql)
-        prepared, outcome = self.plan_cache.lookup(key, self._stats_tokens)
-        if prepared is None:
-            prepared = self._prepare(sql if statement is None else statement, text=sql)
-            if prepared.param_count:
-                raise ParameterError(
-                    "query() cannot run a statement with ? placeholders; "
-                    "use prepare() and bind values per execution"
-                )
+        if not self.auto_unnest:
+            return PlanArtifact("naive")
+        if n_params:
+            return PlanArtifact("dispatch")
+        try:
+            plan = unnest(template, self.catalog)
+        except UnnestError:
+            return PlanArtifact("naive")
+        return PlanArtifact("memory", plan=plan, rule=plan.rule or plan.nesting_type)
+
+    def _resolve(
+        self, source: Union[str, SelectQuery, PreparedQuery], sql_text: Optional[str]
+    ):
+        """The prepared statement behind ``source`` and the plan-cache outcome.
+
+        Text (``source`` itself, or the ``sql_text`` an already parsed
+        statement came from) goes through the :attr:`plan_cache`; other
+        statements, and everything when caching is disabled, are prepared
+        afresh.  ``query()`` cannot bind values, so a statement with ``?``
+        placeholders is refused either way.
+        """
+        if isinstance(source, PreparedQuery):
+            return source, None
+        cached = sql_text is not None and self.plan_cache is not None
+        outcome = None
+        if cached:
+            key = normalize_sql(sql_text)
+            prepared, outcome = self.plan_cache.lookup(key, self._stats_tokens)
+            if prepared is not None:
+                return prepared, outcome
+        text = sql_text if sql_text is not None else repr(source)
+        prepared = self._prepare(source, text=text)
+        if prepared.param_count:
+            raise ParameterError(
+                "query() cannot run a statement with ? placeholders; "
+                "use prepare() and bind values per execution"
+            )
+        if cached:
             keys = sorted(referenced_tables(prepared.template)) + ["__SCHEMA__"]
             self.plan_cache.store(key, prepared, self._stats_tokens(keys))
-        return self._execute_prepared(
-            prepared, (), metrics=metrics, plan_cache_outcome=outcome
-        )
+        return prepared, outcome
 
     def _stats_tokens(self, keys) -> dict:
         """Current validity tokens: tuple counts plus the schema epoch."""
@@ -300,21 +261,25 @@ class FuzzyDatabase:
                     tokens[key] = -1
         return tokens
 
-    def _execute_prepared(
+    def _execute(
         self,
-        prepared: PreparedQuery,
-        params: tuple = (),
-        metrics=None,
+        source: Union[str, SelectQuery, PreparedQuery],
+        params: tuple,
+        metrics,
         tracer=None,
-        plan_cache_outcome: Optional[str] = None,
+        sql_text: Optional[str] = None,
     ) -> FuzzyRelation:
-        """Run a prepared statement (the back end of ``PreparedQuery.execute``).
+        """The one query pipeline: resolve a prepared artifact, then run it.
 
-        ``tracer`` is accepted for signature parity with
-        :class:`~repro.session.StorageSession` but the in-memory engine
-        records no spans; use :meth:`trace` for a span tree.
+        ``source`` is SQL text, a parsed query (``sql_text`` names the
+        text it came from, if any), or a :class:`PreparedQuery` (the back
+        end of ``PreparedQuery.execute``).  ``tracer`` is accepted for
+        signature parity with :class:`~repro.session.StorageSession` but
+        the in-memory engine records no spans; use :meth:`trace` for a
+        span tree.
         """
         del tracer  # the in-memory engine has no span instrumentation
+        prepared, outcome = self._resolve(source, sql_text)
         need_collector = (
             metrics is not None
             or self.registry is not None
@@ -330,10 +295,10 @@ class FuzzyDatabase:
         from .observe.metrics import QueryMetrics
 
         collector = metrics if metrics is not None else QueryMetrics()
-        # query() calls served from the plan cache are not "prepared
-        # executions" — only explicit PreparedQuery.execute calls are.
-        collector.prepared = plan_cache_outcome is None
-        collector.plan_cache = plan_cache_outcome
+        # query() calls are not "prepared executions" — only explicit
+        # PreparedQuery.execute calls are.
+        collector.prepared = prepared is source
+        collector.plan_cache = outcome
         collector.nesting_type = prepared.nesting.value
         started = time.perf_counter()
         result = self._run_prepared(prepared, params, collector)
@@ -345,7 +310,10 @@ class FuzzyDatabase:
     def _run_prepared(
         self, prepared: PreparedQuery, params: tuple, collector
     ) -> FuzzyRelation:
+        bound = prepared.bind(params)
         artifact = prepared.artifact
+        if artifact.kind == "dispatch":
+            artifact = self._plan_template(bound, 0)
         if artifact.kind == "memory":
             result = artifact.plan.execute(
                 self.catalog, self._make_evaluator, metrics=collector
@@ -353,9 +321,6 @@ class FuzzyDatabase:
             if collector is not None and collector.strategy is None:
                 collector.strategy = "memory/unnest: rewritten in-memory plan"
             return result
-        bound = prepared.bind(params)
-        if artifact.kind == "dispatch":
-            return self._query(bound, collector)
         if collector is not None:
             if collector.rewrite is None:
                 collector.rewrite = "none (naive fallback)"
@@ -437,18 +402,10 @@ class FuzzyDatabase:
         (``render_tree()``) and exports Chrome ``trace_event`` JSON
         (``export(path)``).
         """
-        from .session import StorageSession
-
         query = parse_statement(sql) if isinstance(sql, str) else sql
         if not isinstance(query, SelectQuery):
             raise DatabaseError("trace() expects a SELECT statement")
-        session = StorageSession(
-            vocabulary=self.catalog.vocabulary,
-            aggregate_policy=self.aggregate_policy,
-        )
-        for name in self.catalog.names():
-            session.register(name, self.catalog.get(name))
-        return session.trace(query)
+        return self._storage_session().trace(query)
 
     def _make_evaluator(self, catalog: Catalog) -> NaiveEvaluator:
         return NaiveEvaluator(

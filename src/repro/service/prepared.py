@@ -19,9 +19,11 @@ kind       what is cached / what happens per execution
            (Section 6); placeholder-free statements only.
 ``memory`` an :class:`~repro.unnest.pipeline.UnnestedPlan` for the
            in-memory :class:`~repro.db.FuzzyDatabase` engine.
-``dispatch`` nothing beyond parse + classification: values are bound and
-           the normal strategy dispatch runs per execution (used when
-           predicate closures would bake placeholder values in).
+``dispatch`` nothing beyond parse + classification: each execution
+           binds its values, plans the bound statement with the same
+           strategy ladder, and runs the resulting artifact on the same
+           path (used when predicate closures would bake placeholder
+           values in).
 ``naive``  parse + classification only; executions bind and run the
            naive nested-loop evaluator (the always-correct fallback).
 ========== ==========================================================
@@ -52,7 +54,8 @@ class PlanArtifact:
     operator: object = None
     #: ``grouped`` / ``ja``: the ready storage-level executor.
     executable: object = None
-    #: ``grouped`` / ``ja``: the session strategy string.
+    #: The session strategy string (every storage kind; what EXPLAIN
+    #: prints and EXPLAIN ANALYZE reports).
     strategy: str = ""
     #: ``memory``: the :class:`UnnestedPlan` for the in-memory engine.
     plan: object = None
@@ -129,9 +132,7 @@ class PreparedQuery:
         re-binding, or re-rewriting the statement.
         """
         self.check_arity(params)
-        return self._owner._execute_prepared(
-            self, tuple(params), metrics=metrics, tracer=tracer
-        )
+        return self._owner._execute(self, tuple(params), metrics, tracer)
 
     def describe(self) -> str:
         """A one-line summary of what was cached at prepare time."""
@@ -141,7 +142,7 @@ class PreparedQuery:
             "grouped": "grouped anti-join executor",
             "ja": "pipelined T1/T2 executor",
             "memory": "unnested in-memory plan",
-            "dispatch": "classification only (strategy chosen per execution)",
+            "dispatch": "classification only (planned per execution after binding)",
             "naive": "classification only (naive fallback)",
         }.get(self.artifact.kind, self.artifact.kind)
         return (

@@ -2,8 +2,9 @@
 
 :class:`StorageSession` is the integration layer that makes the paper's
 architecture concrete end to end: relations are materialized as paged heap
-files, and ``query()`` dispatches each Fuzzy SQL query to the appropriate
-disk-level strategy —
+files, and every query is prepared into a
+:class:`~repro.service.prepared.PlanArtifact` naming its disk-level
+strategy, then run —
 
 * flat / type N / J / SOME / chain  → unnest, then the
   :class:`~repro.engine.executor.FlatCompiler` plan (merge joins with
@@ -92,7 +93,21 @@ FLAT_TYPES = {
     NestingType.CHAIN,
 }
 
+#: Nesting types answered by the Section 5/7 grouped fold, and its mode.
+GROUPED_MODES = {
+    NestingType.TYPE_XN: GroupMode.NOT_IN,
+    NestingType.TYPE_JX: GroupMode.NOT_IN,
+    NestingType.TYPE_ALL: GroupMode.ALL,
+    NestingType.TYPE_JALL: GroupMode.ALL,
+}
 
+#: The ``rewrite:`` label of every query the naive evaluator answers.
+NAIVE_REWRITE = "none (naive fallback)"
+
+
+def naive_strategy(nesting: NestingType) -> str:
+    """The ``strategy:`` label of a query the naive evaluator answers."""
+    return f"naive/{nesting.value}: in-memory nested evaluation"
 
 
 class StorageSession:
@@ -663,9 +678,36 @@ class StorageSession:
         the placement does not cover the join.  Pass ``shards=1`` to pin
         one query to local execution.
         """
-        workers = self.workers if workers is None else max(1, workers)
-        shards = self.shards if shards is None else max(1, shards)
-        guard = QueryGuard.create(timeout_ms, cancel)
+        return self._execute(
+            sql,
+            (),
+            metrics,
+            tracer,
+            workers=self.workers if workers is None else max(1, workers),
+            shards=self.shards if shards is None else max(1, shards),
+            guard=QueryGuard.create(timeout_ms, cancel),
+        )
+
+    def _execute(
+        self,
+        source: Union[str, SelectQuery, PreparedQuery],
+        params: tuple,
+        metrics: Optional[QueryMetrics],
+        tracer: Optional[SpanTracer],
+        workers: int = 1,
+        shards: int = 1,
+        guard: Optional[QueryGuard] = None,
+    ) -> FuzzyRelation:
+        """The one query pipeline: resolve a prepared artifact, then run it.
+
+        ``source`` is SQL text (served through the :attr:`plan_cache`), a
+        parsed query (prepared afresh), or a :class:`PreparedQuery` (the
+        back end of ``PreparedQuery.execute``).  With no collector and no
+        tracer nothing runs beyond the artifact lookup and
+        :meth:`_run_prepared`; a collector additionally watches the disk,
+        and failures are folded into the workload sinks with their typed
+        outcome.
+        """
         guard_ctx = self.disk.use_guard(guard) if guard is not None else nullcontext()
         need_collector = (
             metrics is not None
@@ -673,28 +715,24 @@ class StorageSession:
             or self.query_log is not None
             or self.recorder is not None
         )
-        use_cache = isinstance(sql, str) and self.plan_cache is not None
         if not need_collector and tracer is None:
             stats = OperationStats()
             self.last_stats = stats
             self.last_plan = None
             self.last_metrics = None
             with guard_ctx:
-                if use_cache:
-                    prepared, _ = self._cached_prepared(sql, None)
-                    result = self._run_prepared(
-                        prepared, (), stats, None, None, workers=workers,
-                        guard=guard, shards=shards,
-                    )
-                    prepared.executions += 1
-                    return result
-                query = parse(sql) if isinstance(sql, str) else sql
-                nesting = classify(query, self.schemas)
-                return self._dispatch(
-                    query, nesting, stats, None, workers=workers, guard=guard,
-                    shards=shards,
+                prepared, _ = self._resolve(source, None)
+                result = self._run_prepared(
+                    prepared, params, stats, None, None,
+                    workers=workers, guard=guard, shards=shards,
                 )
+            prepared.executions += 1
+            return result
 
+        if isinstance(source, PreparedQuery):
+            text = source.sql_text
+        else:
+            text = source if isinstance(source, str) else repr(source)
         collector = (
             (metrics if metrics is not None else QueryMetrics())
             if need_collector
@@ -703,63 +741,32 @@ class StorageSession:
         self.last_metrics = collector
         self.last_plan = None
         started = time.perf_counter()
-        outcome = None
-        prepared = None
         try:
             with guard_ctx, maybe_span(tracer, "query"):
-                if use_cache:
-                    prepared, outcome = self._cached_prepared(sql, tracer)
-                    nesting = prepared.nesting
-                else:
-                    with maybe_span(tracer, "parse"):
-                        query = parse(sql) if isinstance(sql, str) else sql
-                    with maybe_span(tracer, "bind"):
-                        nesting = classify(query, self.schemas)
+                prepared, outcome = self._resolve(source, tracer)
                 stats = OperationStats()
                 self.last_stats = stats
-                if collector is None:
-                    if prepared is not None:
-                        result = self._run_prepared(
-                            prepared, (), stats, None, tracer,
-                            workers=workers, guard=guard, shards=shards,
-                        )
-                    else:
-                        result = self._dispatch(
-                            query, nesting, stats, None, tracer,
-                            workers=workers, guard=guard, shards=shards,
-                        )
-                else:
-                    collector.nesting_type = nesting.value
+                watch = nullcontext()
+                if collector is not None:
+                    collector.nesting_type = prepared.nesting.value
                     collector.plan_cache = outcome
+                    if prepared is source:
+                        collector.prepared = True
                     collector.stats = stats
-                    with collector.watch_disk(self.disk), collector.span("query"):
-                        if prepared is not None:
-                            result = self._run_prepared(
-                                prepared, (), stats, collector, tracer,
-                                workers=workers, guard=guard, shards=shards,
-                            )
-                        else:
-                            result = self._dispatch(
-                                query, nesting, stats, collector, tracer,
-                                workers=workers, guard=guard, shards=shards,
-                            )
+                    watch = collector.watch_disk(self.disk)
+                # QueryMetrics.span has the tracer's shape, so maybe_span
+                # times the run on the collector when one is attached.
+                with watch, maybe_span(collector, "query"):
+                    result = self._run_prepared(
+                        prepared, params, stats, collector, tracer,
+                        workers=workers, guard=guard, shards=shards,
+                    )
         except FuzzyQueryError as exc:
-            self._record_failure(
-                sql if isinstance(sql, str) else repr(sql),
-                collector,
-                started,
-                exc,
-            )
+            self._record_failure(text, collector, started, exc)
             raise
-        if prepared is not None:
-            prepared.executions += 1
+        prepared.executions += 1
         wall = time.perf_counter() - started
-        self._observe_query(
-            sql if isinstance(sql, str) else repr(sql),
-            collector,
-            wall,
-            len(result),
-        )
+        self._observe_query(text, collector, wall, len(result))
         return result
 
     def _observe_query(
@@ -970,21 +977,35 @@ class StorageSession:
 
         self.plan_cache.evict_if(stale)
 
-    def _cached_prepared(
-        self, sql: str, tracer: Optional[SpanTracer]
-    ) -> Tuple[PreparedQuery, str]:
-        """The plan-cache lookup behind textual ``query()`` calls."""
-        key = normalize_sql(sql)
-        prepared, outcome = self.plan_cache.lookup(key, self._plan_tokens)
-        if prepared is None:
-            prepared = self._prepare(sql, tracer)
-            if prepared.param_count:
-                raise ParameterError(
-                    "query() cannot run a statement with ? placeholders; "
-                    "use prepare() and bind values per execution"
-                )
-            tokens = self._plan_tokens(referenced_tables(prepared.template))
-            self.plan_cache.store(key, prepared, tokens)
+    def _resolve(
+        self, source: Union[str, SelectQuery, PreparedQuery], tracer: Optional[SpanTracer]
+    ) -> Tuple[PreparedQuery, Optional[str]]:
+        """The prepared statement behind ``source`` and the plan-cache outcome.
+
+        Textual queries go through the :attr:`plan_cache` (outcome
+        ``hit`` / ``miss`` / ``invalidated``); parsed queries, and text
+        when caching is disabled, are prepared afresh (outcome ``None``).
+        ``query()`` cannot bind values, so a statement with ``?``
+        placeholders is refused either way.
+        """
+        if isinstance(source, PreparedQuery):
+            return source, None
+        cached = isinstance(source, str) and self.plan_cache is not None
+        if cached:
+            key = normalize_sql(source)
+            prepared, outcome = self.plan_cache.lookup(key, self._plan_tokens)
+            if prepared is not None:
+                return prepared, outcome
+        prepared = self._prepare(source, tracer)
+        if prepared.param_count:
+            raise ParameterError(
+                "query() cannot run a statement with ? placeholders; "
+                "use prepare() and bind values per execution"
+            )
+        if not cached:
+            return prepared, None
+        tokens = self._plan_tokens(referenced_tables(prepared.template))
+        self.plan_cache.store(key, prepared, tokens)
         return prepared, outcome
 
     def _plan_template(
@@ -994,20 +1015,23 @@ class StorageSession:
         n_params: int,
         tracer: Optional[SpanTracer] = None,
     ) -> PlanArtifact:
-        """Run the rewrite (and, when closed, compilation) ahead of time.
+        """Choose the physical strategy and build as much of it as possible.
 
-        Strategies whose predicate compilation bakes literal values in
-        (the grouped and pipelined paths) cannot be pre-built for
-        parameterized statements; those fall back to per-execution
-        dispatch on the bound query.
+        The one strategy ladder: flat types (N, J, SOME, chains) unnest to
+        a merge-join plan, compiled when the statement is closed; NOT IN
+        and ``op ALL`` build the Section 5/7 grouped fold; JA builds the
+        Section 6 pipeline; a rewrite or compilation that does not apply
+        yields the naive artifact.  The grouped and pipelined builds bake
+        literal values into their predicates, so parameterized statements
+        of those types get a ``dispatch`` artifact: each execution binds
+        its values and plans the bound statement here.
         """
-        if nesting in FLAT_TYPES:
-            try:
+        try:
+            if nesting in FLAT_TYPES:
                 with maybe_span(tracer, "rewrite"):
                     plan = unnest(query, self.schemas)
                     if plan.steps or not isinstance(plan.final, SelectQuery):
                         raise UnnestError("not a single flat query")
-                rule = plan.rule or plan.nesting_type
                 operator = None
                 if n_params == 0:
                     with maybe_span(tracer, "compile"):
@@ -1015,89 +1039,33 @@ class StorageSession:
                             plan.final, optimize=self.optimize_joins
                         )
                 return PlanArtifact(
-                    "flat", flat=plan.final, rule=rule, operator=operator
+                    "flat",
+                    flat=plan.final,
+                    rule=plan.rule or plan.nesting_type,
+                    operator=operator,
+                    strategy=f"flat/{nesting.value}: merge-join plan",
                 )
-            except (UnnestError, CompileError):
-                return PlanArtifact("naive")
-        if n_params:
-            return PlanArtifact("dispatch")
-        try:
-            if nesting in (NestingType.TYPE_XN, NestingType.TYPE_JX):
-                with maybe_span(tracer, "rewrite"):
-                    built = self._build_grouped(query, GroupMode.NOT_IN, nesting)
-                executable, strategy, rule = built
+            if n_params:
                 return PlanArtifact(
-                    "grouped", executable=executable, strategy=strategy, rule=rule
+                    "dispatch", strategy="planned per execution on the bound statement"
                 )
-            if nesting in (NestingType.TYPE_ALL, NestingType.TYPE_JALL):
+            if nesting in GROUPED_MODES:
                 with maybe_span(tracer, "rewrite"):
-                    built = self._build_grouped(query, GroupMode.ALL, nesting)
-                executable, strategy, rule = built
+                    executable, strategy, rule = self._build_grouped(
+                        query, GROUPED_MODES[nesting], nesting
+                    )
                 return PlanArtifact(
                     "grouped", executable=executable, strategy=strategy, rule=rule
                 )
             if nesting is NestingType.TYPE_JA:
                 with maybe_span(tracer, "rewrite"):
-                    built = self._build_ja(query, nesting)
-                executable, strategy, rule = built
+                    executable, strategy, rule = self._build_ja(query, nesting)
                 return PlanArtifact(
                     "ja", executable=executable, strategy=strategy, rule=rule
                 )
         except (UnnestError, CompileError):
             pass
-        return PlanArtifact("naive")
-
-    def _execute_prepared(
-        self,
-        prepared: PreparedQuery,
-        params: tuple,
-        metrics: Optional[QueryMetrics] = None,
-        tracer: Optional[SpanTracer] = None,
-    ) -> FuzzyRelation:
-        """Run a prepared statement (the back end of ``PreparedQuery.execute``)."""
-        need_collector = (
-            metrics is not None
-            or self.registry is not None
-            or self.query_log is not None
-            or self.recorder is not None
-        )
-        if not need_collector and tracer is None:
-            stats = OperationStats()
-            self.last_stats = stats
-            self.last_plan = None
-            self.last_metrics = None
-            result = self._run_prepared(prepared, params, stats, None, None)
-            prepared.executions += 1
-            return result
-        collector = (
-            (metrics if metrics is not None else QueryMetrics())
-            if need_collector
-            else None
-        )
-        self.last_metrics = collector
-        self.last_plan = None
-        started = time.perf_counter()
-        try:
-            with maybe_span(tracer, "query"):
-                stats = OperationStats()
-                self.last_stats = stats
-                if collector is None:
-                    result = self._run_prepared(prepared, params, stats, None, tracer)
-                else:
-                    collector.nesting_type = prepared.nesting.value
-                    collector.prepared = True
-                    collector.stats = stats
-                    with collector.watch_disk(self.disk), collector.span("query"):
-                        result = self._run_prepared(
-                            prepared, params, stats, collector, tracer
-                        )
-        except FuzzyQueryError as exc:
-            self._record_failure(prepared.sql_text, collector, started, exc)
-            raise
-        prepared.executions += 1
-        wall = time.perf_counter() - started
-        self._observe_query(prepared.sql_text, collector, wall, len(result))
-        return result
+        return PlanArtifact("naive", rule=NAIVE_REWRITE, strategy=naive_strategy(nesting))
 
     def _run_prepared(
         self,
@@ -1112,13 +1080,24 @@ class StorageSession:
     ) -> FuzzyRelation:
         """Execute a prepared artifact: bind values, (re)compile, run.
 
-        Never re-enters the parser, binder, or rewriter — only the value
-        substitution and (for parameterized flat plans) predicate
-        compilation happen per execution.
+        Never re-enters the parser or binder.  Only the value
+        substitution, predicate compilation of parameterized flat plans,
+        and the planning of a bound ``dispatch`` statement happen per
+        execution.  This is the single site where a physical strategy
+        that cannot finish falls back to the naive evaluator.
         """
         from .join.merge_join import WindowOverflowError
 
         artifact = prepared.artifact
+        bound = None
+        if artifact.kind == "dispatch":
+            with maybe_span(tracer, "bind-params"):
+                bound = prepared.bind(params)
+            artifact = self._plan_template(bound, prepared.nesting, 0, tracer)
+        self.last_strategy = artifact.strategy
+        if metrics is not None:
+            metrics.rewrite = artifact.rule
+            metrics.strategy = artifact.strategy
         try:
             if artifact.kind == "flat":
                 operator = artifact.operator
@@ -1140,13 +1119,7 @@ class StorageSession:
                     self._rebind_plan(operator)
                 if self.adaptive:
                     annotate_estimates(operator)
-                self.last_strategy = (
-                    f"flat/{prepared.nesting.value}: merge-join plan"
-                )
                 self.last_plan = operator
-                if metrics is not None:
-                    metrics.rewrite = artifact.rule
-                    metrics.strategy = self.last_strategy
                 return operator.to_relation(
                     ExecutionContext(
                         self.disk,
@@ -1162,10 +1135,6 @@ class StorageSession:
                     )
                 )
             if artifact.kind in ("grouped", "ja"):
-                self.last_strategy = artifact.strategy
-                if metrics is not None:
-                    metrics.rewrite = artifact.rule
-                    metrics.strategy = artifact.strategy
                 return artifact.executable.run(
                     self.disk,
                     self.buffer_pages,
@@ -1173,22 +1142,27 @@ class StorageSession:
                     metrics=metrics,
                     tracer=tracer,
                 )
-            if artifact.kind == "dispatch":
-                with maybe_span(tracer, "bind-params"):
-                    bound = prepared.bind(params)
-                return self._dispatch(
-                    bound, prepared.nesting, stats, metrics, tracer,
-                    workers=workers, guard=guard, shards=shards,
-                )
         except (UnnestError, CompileError):
             pass
         except WindowOverflowError:
+            # The largest Rng(r) did not fit the buffer (very wide supports,
+            # Section 3's caveat): restart on the always-applicable path
+            # and report the restart, not the aborted attempt.
             stats = OperationStats()
             self.last_stats = stats
+            self.last_plan = None
             if metrics is not None:
                 metrics.stats = stats
-        with maybe_span(tracer, "bind-params"):
-            bound = prepared.bind(params)
+                reason = "merge-join window overflowed the buffer; naive restart"
+                if metrics.degraded_reason:
+                    reason = f"{metrics.degraded_reason}; {reason}"
+                metrics.degraded = True
+                metrics.degraded_reason = reason
+        if metrics is not None:
+            metrics.rewrite = NAIVE_REWRITE
+        if bound is None:
+            with maybe_span(tracer, "bind-params"):
+                bound = prepared.bind(params)
         return self._run_naive(bound, prepared.nesting, stats, metrics, tracer)
 
     def run_batch(
@@ -1221,84 +1195,22 @@ class StorageSession:
 
         return run_ordered(queries, run_one, workers)
 
-    def _dispatch(
-        self,
-        query: SelectQuery,
-        nesting: NestingType,
-        stats: OperationStats,
-        metrics: Optional[QueryMetrics],
-        tracer: Optional[SpanTracer] = None,
-        workers: int = 1,
-        guard: Optional[QueryGuard] = None,
-        shards: int = 1,
-    ) -> FuzzyRelation:
-        from .join.merge_join import WindowOverflowError
-
-        try:
-            if nesting in FLAT_TYPES:
-                return self._run_flat(
-                    query, nesting, stats, metrics, tracer,
-                    workers=workers, guard=guard, shards=shards,
-                )
-            if nesting in (NestingType.TYPE_XN, NestingType.TYPE_JX):
-                return self._run_grouped(
-                    query, GroupMode.NOT_IN, nesting, stats, metrics, tracer
-                )
-            if nesting in (NestingType.TYPE_ALL, NestingType.TYPE_JALL):
-                return self._run_grouped(
-                    query, GroupMode.ALL, nesting, stats, metrics, tracer
-                )
-            if nesting is NestingType.TYPE_JA:
-                return self._run_ja(query, nesting, stats, metrics, tracer)
-        except (UnnestError, CompileError):
-            pass
-        except WindowOverflowError:
-            # The largest Rng(r) did not fit the buffer (very wide supports,
-            # Section 3's caveat): restart on the always-applicable path.
-            stats = OperationStats()
-            self.last_stats = stats
-            if metrics is not None:
-                metrics.stats = stats
-        return self._run_naive(query, nesting, stats, metrics, tracer)
-
     def explain(self, sql: Union[str, SelectQuery]) -> str:
         """Describe the strategy and plan a query would run with.
 
-        Executes nothing against the data (beyond sampling-free schema
-        work); safe to call on large sessions.
+        Renders the artifact :meth:`prepare` builds, so the ``rewrite:``
+        and ``strategy:`` lines match EXPLAIN ANALYZE's.  Executes nothing
+        against the data (beyond sampling-free schema work); safe to call
+        on large sessions.
         """
-        query = parse(sql) if isinstance(sql, str) else sql
-        nesting = classify(query, self.schemas)
-        lines = [f"nesting type: {nesting.value}"]
-        if nesting in FLAT_TYPES:
-            try:
-                plan = unnest(query, self.schemas)
-                if not plan.steps and isinstance(plan.final, SelectQuery):
-                    operator = self._compiler().compile(plan.final, optimize=self.optimize_joins)
-                    if plan.rule:
-                        lines.append(f"rewrite: {plan.rule}")
-                    lines.append("strategy: flat merge-join plan")
-                    lines.append(render_plan(operator))
-                    return "\n".join(lines)
-            except (UnnestError, CompileError):
-                pass
-        elif nesting in (NestingType.TYPE_XN, NestingType.TYPE_JX,
-                         NestingType.TYPE_ALL, NestingType.TYPE_JALL):
-            try:
-                self._dissect(query)
-                kind = "NOT IN" if nesting in (NestingType.TYPE_XN, NestingType.TYPE_JX) else "op ALL"
-                lines.append(f"strategy: grouped anti-join min-fold ({kind})")
-                return "\n".join(lines)
-            except (UnnestError, CompileError):
-                pass
-        elif nesting is NestingType.TYPE_JA:
-            try:
-                self._dissect(query)
-                lines.append("strategy: pipelined T1/T2 merge pass (Section 6)")
-                return "\n".join(lines)
-            except (UnnestError, CompileError):
-                pass
-        lines.append("strategy: naive in-memory nested evaluation")
+        prepared = self._prepare(sql)
+        artifact = prepared.artifact
+        lines = [f"nesting type: {prepared.nesting.value}"]
+        if artifact.rule:
+            lines.append(f"rewrite: {artifact.rule}")
+        lines.append(f"strategy: {artifact.strategy}")
+        if artifact.operator is not None:
+            lines.append(render_plan(artifact.operator))
         return "\n".join(lines)
 
     def explain_analyze(
@@ -1392,42 +1304,6 @@ class StorageSession:
         return fanouts
 
     # ------------------------------------------------------------------
-    # Strategy: flat plans
-    # ------------------------------------------------------------------
-    def _run_flat(
-        self,
-        query: SelectQuery,
-        nesting: NestingType,
-        stats: OperationStats,
-        metrics: Optional[QueryMetrics] = None,
-        tracer: Optional[SpanTracer] = None,
-        workers: int = 1,
-        guard: Optional[QueryGuard] = None,
-        shards: int = 1,
-    ) -> FuzzyRelation:
-        with maybe_span(tracer, "rewrite"):
-            plan = unnest(query, self.schemas)
-            if plan.steps or not isinstance(plan.final, SelectQuery):
-                raise UnnestError("not a single flat query")
-        with maybe_span(tracer, "compile"):
-            operator = self._compiler().compile(plan.final, optimize=self.optimize_joins)
-        if self.adaptive:
-            annotate_estimates(operator)
-        self.last_strategy = f"flat/{nesting.value}: merge-join plan"
-        self.last_plan = operator
-        if metrics is not None:
-            metrics.rewrite = plan.rule or plan.nesting_type
-            metrics.strategy = self.last_strategy
-        return operator.to_relation(
-            ExecutionContext(
-                self.disk, self.buffer_pages, stats, metrics=metrics,
-                tracer=tracer, workers=workers, guard=guard,
-                shards=shards, sharded=self.sharded,
-                adapt=self.adapt_controller,
-            )
-        )
-
-    # ------------------------------------------------------------------
     # Strategy: grouped anti-joins (Sections 5 and 7)
     # ------------------------------------------------------------------
     def _build_grouped(
@@ -1465,25 +1341,6 @@ class StorageSession:
         )
         return grouped, strategy, rewrite
 
-    def _run_grouped(
-        self,
-        query: SelectQuery,
-        mode: GroupMode,
-        nesting: NestingType,
-        stats: OperationStats,
-        metrics: Optional[QueryMetrics] = None,
-        tracer: Optional[SpanTracer] = None,
-    ) -> FuzzyRelation:
-        with maybe_span(tracer, "rewrite"):
-            grouped, strategy, rewrite = self._build_grouped(query, mode, nesting)
-        self.last_strategy = strategy
-        if metrics is not None:
-            metrics.rewrite = rewrite
-            metrics.strategy = strategy
-        return grouped.run(
-            self.disk, self.buffer_pages, stats, metrics=metrics, tracer=tracer
-        )
-
     # ------------------------------------------------------------------
     # Strategy: the Section 6 pipeline
     # ------------------------------------------------------------------
@@ -1519,24 +1376,6 @@ class StorageSession:
         rewrite = "correlated aggregate -> pipelined T1/T2 merge pass (Section 6)"
         return pipeline, strategy, rewrite
 
-    def _run_ja(
-        self,
-        query: SelectQuery,
-        nesting: NestingType,
-        stats: OperationStats,
-        metrics: Optional[QueryMetrics] = None,
-        tracer: Optional[SpanTracer] = None,
-    ) -> FuzzyRelation:
-        with maybe_span(tracer, "rewrite"):
-            pipeline, strategy, rewrite = self._build_ja(query, nesting)
-        self.last_strategy = strategy
-        if metrics is not None:
-            metrics.rewrite = rewrite
-            metrics.strategy = strategy
-        return pipeline.run(
-            self.disk, self.buffer_pages, stats, metrics=metrics, tracer=tracer
-        )
-
     # ------------------------------------------------------------------
     # Fallback: naive evaluation over buffered reads
     # ------------------------------------------------------------------
@@ -1549,7 +1388,7 @@ class StorageSession:
         tracer: Optional[SpanTracer] = None,
     ) -> FuzzyRelation:
         if metrics is not None and metrics.rewrite is None:
-            metrics.rewrite = "none (naive fallback)"
+            metrics.rewrite = NAIVE_REWRITE
         catalog = Catalog(self.vocabulary)
         with maybe_span(tracer, "scan tables"), self.disk.use_stats(stats):
             for name, heap in self.tables.items():
@@ -1559,7 +1398,7 @@ class StorageSession:
                     for record in page.records():
                         relation.add(heap.serializer.decode(record))
                 catalog.register(name, relation)
-        self.last_strategy = f"naive/{nesting.value}: in-memory nested evaluation"
+        self.last_strategy = naive_strategy(nesting)
         if metrics is not None:
             metrics.strategy = self.last_strategy
         evaluator = NaiveEvaluator(

@@ -360,7 +360,9 @@ class TestIndexMergeJoinPath:
     def test_window_overflow_falls_back_bit_identically(self):
         # Every V identical: the entry window must span the whole index,
         # which cannot fit in a tiny buffer — the operator must degrade to
-        # the sort-merge plan, not fail and not change the answer.
+        # the sort-merge plan, not fail and not change the answer.  Here
+        # the sort-merge window overflows too, so the session restarts
+        # on the naive path and reports both fallbacks.
         def build(indexed):
             rng = random.Random(5)
             session = StorageSession(page_size=1024, buffer_pages=4)
@@ -386,8 +388,10 @@ class TestIndexMergeJoinPath:
         indexed = build(True)
         metrics = QueryMetrics()
         got = indexed.query(JOIN_SQL, metrics=metrics)
-        assert "IndexMergeJoin(" in indexed.last_plan.explain()
+        assert "IndexMergeJoin(" in indexed.explain(JOIN_SQL)
         assert "sort-merge fallback" in (metrics.degraded_reason or "")
+        assert "naive restart" in metrics.degraded_reason
+        assert indexed.last_strategy.startswith("naive/")
         assert answers(got) == answers(want)
 
     def test_sharded_execution_delegates_bit_identically(self):

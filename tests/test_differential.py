@@ -27,6 +27,7 @@ from repro.data import Catalog, FuzzyRelation, FuzzyTuple, Schema
 from repro.engine import NaiveEvaluator
 from repro.fuzzy import CrispNumber, TrapezoidalNumber
 from repro.session import StorageSession
+from repro.sql import parse
 from repro.unnest import UnnestError, unnest
 
 N = CrispNumber
@@ -118,6 +119,51 @@ def test_three_engines_agree(label):
             f"{label} seed={seed} [rewrite]\n"
             f"oracle:\n{oracle.pretty()}\nrewrite:\n{rewritten.pretty()}"
         )
+
+        # Every session entry point runs the same prepared artifact:
+        # same answer, same strategy, same counters as the cached text.
+        expected = (session.last_strategy, session.last_stats.total)
+        for entry, run in entry_points(session, sql):
+            got = run()
+            assert stored.same_as(got, 0.0), f"{label} seed={seed} [{entry}]"
+            assert (session.last_strategy, session.last_stats.total) == expected, (
+                f"{label} seed={seed} [{entry}]"
+            )
+
+
+def entry_points(session: StorageSession, sql: str):
+    """(name, thunk) for each way to run ``sql`` besides cached text."""
+
+    def uncached():
+        cache, session.plan_cache = session.plan_cache, None
+        try:
+            return session.query(sql)
+        finally:
+            session.plan_cache = cache
+
+    return [
+        ("ast", lambda: session.query(parse(sql))),
+        ("uncached", uncached),
+        ("prepared", lambda: session.prepare(sql).execute()),
+    ]
+
+
+def header(report: str):
+    """The ``rewrite:`` and ``strategy:`` lines of an EXPLAIN report."""
+    return [
+        line for line in report.splitlines()
+        if line.startswith(("rewrite:", "strategy:"))
+    ]
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_explain_agrees_with_explain_analyze(label):
+    """EXPLAIN renders the artifact EXPLAIN ANALYZE runs: same labels."""
+    sql, _ = CASES[label]
+    _catalog, session = build(1000 * hash(label) % 7919)
+    planned = header(session.explain(sql))
+    assert len(planned) == 2, planned
+    assert planned == header(session.explain_analyze(sql))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4], ids=["workers1", "workers2", "workers4"])

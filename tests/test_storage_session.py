@@ -163,6 +163,33 @@ class TestWindowOverflowFallback:
         assert session.last_strategy.startswith("naive/")
         assert out.same_as(NaiveEvaluator(catalog).evaluate(sql), 1e-9)
 
+    def test_overflow_restart_reports_the_naive_run(self):
+        """The restart reports what answered the query, not the aborted
+        merge-join: the naive rewrite label, a degraded flag naming the
+        overflow, and no plan tree."""
+        from repro.observe import QueryMetrics
+
+        wide = FuzzyRelation(SCHEMA)
+        for i in range(60):
+            wide.add(FuzzyTuple([N(i), T(0, 1, 2, 1000), N(i)], 1.0))
+        session = StorageSession(buffer_pages=3, page_size=1024)
+        session.register("R", wide)
+        session.register("S", wide)
+        sql = "SELECT R.K FROM R WHERE R.U IN (SELECT S.U FROM S)"
+        metrics = QueryMetrics()
+        session.query(sql, metrics=metrics)
+        assert metrics.strategy == "naive/N: in-memory nested evaluation"
+        assert metrics.rewrite == "none (naive fallback)"
+        assert metrics.degraded
+        assert "overflow" in metrics.degraded_reason
+        assert session.last_plan is None
+
+        report = session.explain_analyze(sql)
+        assert "rewrite: none (naive fallback)" in report
+        assert "strategy: naive/N: in-memory nested evaluation" in report
+        assert "degraded=True (" in report and "overflow" in report
+        assert "est=" not in report  # no aborted plan tree
+
 
 class TestVocabulary:
     def test_linguistic_literals(self):
