@@ -20,7 +20,7 @@ library's float arithmetic exactly:
 * overlapping cores — exactly 1.0 (normal trapezoids: the sup-min of two
   membership curves whose cores share a point is attained there at
   height 1.0, and the piecewise-linear evaluation yields exactly 1.0 at
-  core abscissae).
+  core abscissae, as long as every abscissa is finite).
 
 The one genuinely geometric case — two proper trapezoids whose supports
 overlap but whose cores do not, so the degree is a ramp intersection —
@@ -38,6 +38,8 @@ from typing import List, Sequence
 from ..fuzzy.compare import Op, possibility
 from ..fuzzy.trapezoid import TrapezoidalNumber
 from .pages import KIND_POINT
+
+_INF = float("inf")
 
 __all__ = [
     "batch_eq_possibility",
@@ -89,6 +91,7 @@ def batch_eq_possibility(
     forms are exactly symmetric; only the ramp fallback cares).
     """
     is_point, pv, pa, pb, pe, pd = _probe_shape(probe)
+    finite_probe = -_INF < pa and pd < _INF
     degrees: List[float] = []
     fallback = None
     for i in range(len(col_a)):
@@ -118,11 +121,13 @@ def batch_eq_possibility(
         b, e, d = col_b[i], col_e[i], col_d[i]
         if d < pa or pd < a:
             degrees.append(0.0)          # disjoint supports
-        elif max(b, pb) <= min(e, pe):
+        elif max(b, pb) <= min(e, pe) and finite_probe and -_INF < a and d < _INF:
             degrees.append(1.0)          # overlapping cores
         else:
-            # Ramp intersection: defer to the scalar library on the
-            # reconstructed trapezoid for bitwise-identical arithmetic.
+            # Ramp intersection (or an infinite abscissa, where the
+            # library's interpolation does not reach 1.0 exactly): defer
+            # to the scalar library on the reconstructed trapezoid for
+            # bitwise-identical arithmetic.
             if fallback is None:
                 fallback = probe
             value = TrapezoidalNumber(a, b, e, d)
@@ -168,6 +173,29 @@ def _sup_above_cols(e: float, d: float, v: float, strict: bool) -> float:
     return (d - v) / (d - e)
 
 
+def _ordered_supports(la: float, lb: float, ra: float, rc: float, rd: float):
+    """``Poss(L < R)`` of two proper trapezoids when it is exactly 1 or 0.
+
+    The scalar library evaluates two continuous operands by closure
+    semantics, ``L.sup_min(R.running_max_right())``, for ``<`` and ``<=``
+    alike.  That envelope is 1.0 at every breakpoint from its far-left
+    extension ``ra - 1e9 * max(1, rd - ra)`` up to ``rc``; so when
+    ``lb`` lies in that range the candidate ``x = lb`` gives exactly
+    ``min(1.0, 1.0)`` and no candidate can exceed it.  When ``la >= rd``
+    the supports touch at most at one point where one side is 0, so the
+    sup-min is exactly 0.0.  Anything else — a genuine ramp intersection,
+    or an infinite abscissa, where the library's interpolation is not
+    this clean — returns ``None`` to defer to the scalar library.
+    """
+    if not (-_INF < la and lb < _INF and -_INF < ra and rd < _INF):
+        return None
+    if ra - 1e9 * max(1.0, rd - ra) <= lb <= rc:
+        return 1.0
+    if la >= rd:
+        return 0.0
+    return None
+
+
 def _batch_order(
     probe,
     col_a: Sequence[float],
@@ -188,10 +216,12 @@ def _batch_order(
     *not* symmetric, so the flag swaps the whole comparison, not just the
     fallback operand order.  Every point-involved case uses the scalar
     library's ``_sup_below`` / ``_sup_above`` envelopes replicated
-    branch-for-branch; the one genuinely geometric case — two proper
-    trapezoids, where the degree is a sup-min against a running-max
-    envelope — falls back to the scalar library on the reconstructed
-    trapezoid, which is bit-identical because f64 columns round-trip.
+    branch-for-branch.  Two proper trapezoids whose supports are ordered
+    (:func:`_ordered_supports`) get their exact 1.0 or 0.0; the one
+    genuinely geometric case — a sup-min of overlapping ramps against a
+    running-max envelope — falls back to the scalar library on the
+    reconstructed trapezoid, which is bit-identical because f64 columns
+    round-trip.
     """
     is_point, pv, pa, pb, pe, pd = _probe_shape(probe)
     op = Op.LT if strict else Op.LE
@@ -208,8 +238,11 @@ def _batch_order(
             elif entry_point:
                 degrees.append(_sup_below_cols(pa, pb, a, strict))
             else:
-                value = TrapezoidalNumber(a, col_b[i], col_e[i], col_d[i])
-                degrees.append(possibility(probe, op, value))
+                degree = _ordered_supports(pa, pb, a, col_e[i], col_d[i])
+                if degree is None:
+                    value = TrapezoidalNumber(a, col_b[i], col_e[i], col_d[i])
+                    degree = possibility(probe, op, value)
+                degrees.append(degree)
         else:
             if is_point and entry_point:
                 ok = a < pv if strict else a <= pv
@@ -219,8 +252,11 @@ def _batch_order(
             elif is_point:
                 degrees.append(_sup_below_cols(a, col_b[i], pv, strict))
             else:
-                value = TrapezoidalNumber(a, col_b[i], col_e[i], col_d[i])
-                degrees.append(possibility(value, op, probe))
+                degree = _ordered_supports(a, col_b[i], pa, pe, pd)
+                if degree is None:
+                    value = TrapezoidalNumber(a, col_b[i], col_e[i], col_d[i])
+                    degree = possibility(value, op, probe)
+                degrees.append(degree)
     return degrees
 
 

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence, Tuple
 
+from ..fuzzy.crisp import CrispLabel, CrispNumber
+from ..fuzzy.discrete import DiscreteDistribution
 from ..fuzzy.distribution import Distribution
+from ..fuzzy.trapezoid import TrapezoidalNumber
+
+_BUILTIN_DISTRIBUTIONS = frozenset(
+    (CrispNumber, CrispLabel, TrapezoidalNumber, DiscreteDistribution)
+)
 
 
 class FuzzyTuple:
@@ -28,7 +35,9 @@ class FuzzyTuple:
         if not 0.0 <= degree <= 1.0:
             raise ValueError(f"membership degree must be in [0, 1], got {degree}")
         for v in values:
-            if not isinstance(v, Distribution):
+            # The exact built-in shapes first: the ABC isinstance check is
+            # the slow path, kept for subclasses and for the error.
+            if type(v) not in _BUILTIN_DISTRIBUTIONS and not isinstance(v, Distribution):
                 raise TypeError(f"tuple values must be Distributions, got {type(v).__name__}")
         self.values: Tuple[Distribution, ...] = tuple(values)
         self.degree = degree

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..data.relation import FuzzyRelation
 from ..data.tuples import FuzzyTuple
-from ..fuzzy.compare import Op, possibility
+from ..fuzzy.compare import ComparisonKernel, Op
 from ..join.merge_join import MergeJoin
 from ..join.nested_loop import NestedLoopJoin
+from ..join.predicates import JoinPredicate, conjoin
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
 
@@ -68,16 +69,14 @@ class GroupedAntiJoin:
         self.p2 = p2
         self.project_attrs = list(project_attrs)
         self.project_indices = [outer.schema.index_of(a) for a in self.project_attrs]
-        self._link_resolved = self._resolve(link)
-        self._cross_resolved = [self._resolve(c) for c in self.cross]
+        self._link = self._predicate(link)
+        self._cross = [self._predicate(c) for c in self.cross]
         self.band = self._choose_band()
 
-    def _resolve(self, spec: CrossSpec):
+    def _predicate(self, spec: CrossSpec) -> JoinPredicate:
         outer_attr, op, inner_attr = spec
-        return (
-            self.outer.schema.index_of(outer_attr),
-            op,
-            self.inner.schema.index_of(inner_attr),
+        return JoinPredicate(
+            self.outer.schema, outer_attr, op, self.inner.schema, inner_attr
         )
 
     def _choose_band(self) -> Optional[Tuple[str, str]]:
@@ -99,24 +98,42 @@ class GroupedAntiJoin:
             if stats is not None:
                 stats.count_fuzzy()
             degree = min(degree, self.p2(s))
-        for oi, op, ii in self._cross_resolved:
+        for p in self._cross:
             if degree == 0.0:
                 return 0.0
-            if stats is not None:
-                stats.count_fuzzy()
-            degree = min(degree, possibility(r[oi], op, s[ii]))
+            degree = min(degree, p.degree(r, s, stats))
         if degree == 0.0:
             return 0.0
-        oi, op, ii = self._link_resolved
-        if stats is not None:
-            stats.count_fuzzy()
-        link_degree = possibility(r[oi], op, s[ii])
+        link_degree = self._link.degree(r, s, stats)
         if self.mode is GroupMode.NOT_IN:
             return min(degree, link_degree)
         return min(degree, 1.0 - link_degree)
 
     def _pair_degree(self, r: FuzzyTuple, s: FuzzyTuple, stats) -> float:
         return min(r.degree, 1.0 - self._inner_degree(r, s, stats))
+
+    def _block_degree(
+        self, r: FuzzyTuple, tuples: List[FuzzyTuple], stats, kernel: ComparisonKernel
+    ) -> List[float]:
+        """:meth:`_pair_degree` over a window block: one kernel call per
+        predicate, each on the entries still nonzero, charging what the
+        per-pair evaluation charges."""
+        degrees = [s.degree for s in tuples]
+        if self.p2 is not None:
+            live = [i for i, d in enumerate(degrees) if d > 0.0]
+            if live and stats is not None:
+                stats.count_fuzzy(len(live))
+            for i in live:
+                degrees[i] = min(degrees[i], self.p2(tuples[i]))
+        conjoin(degrees, self._cross, r, tuples, stats, kernel)
+        live = [i for i, d in enumerate(degrees) if d != 0.0]
+        if live:
+            found = self._link.block_degrees(r, [tuples[i] for i in live], stats, kernel)
+            negate = self.mode is GroupMode.ALL
+            for i, d in zip(live, found):
+                degrees[i] = min(degrees[i], 1.0 - d if negate else d)
+        rd = r.degree
+        return [min(rd, 1.0 - d) for d in degrees]
 
     def _init(self, r: FuzzyTuple) -> float:
         degree = r.degree
@@ -171,10 +188,14 @@ class GroupedAntiJoin:
 
         if self.band is not None:
             outer_attr, inner_attr = self.band
+
+            def pair(r: FuzzyTuple, s: FuzzyTuple, stats) -> float:
+                return self._pair_degree(r, s, stats)
+
+            pair.block = self._block_degree
             join = MergeJoin(disk, buffer_pages, stats, metrics=metrics, tracer=tracer)
             folded = join.fold(
-                self.outer, outer_attr, self.inner, inner_attr,
-                self._pair_degree, self._init, step,
+                self.outer, outer_attr, self.inner, inner_attr, pair, self._init, step,
             )
             try:
                 return self._fold_answer(folded, om)

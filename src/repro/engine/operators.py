@@ -360,8 +360,10 @@ class MergeJoinOp(Operator):
         """The pair degree routed through ``kernel``, when we own the closure.
 
         A caller-supplied ``pair_degree`` is opaque and returned as-is;
-        the default conjunction is rebuilt over the kernel so repeated
-        ``(probe, candidate)`` evaluations hit its memo.
+        the default conjunction is rebuilt over the kernel so the per-pair
+        paths (nested-loop fallback, index join) share its memo.  Merge
+        joins score windows through the conjunction's block form, with
+        the kernel they are given.
         """
         from ..join.predicates import join_degree
 

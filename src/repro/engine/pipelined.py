@@ -20,13 +20,14 @@ whose group is empty compares against the constant 0.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..data.relation import FuzzyRelation
 from ..data.tuples import FuzzyTuple
 from ..fuzzy.compare import Op, intervals_intersect, possibility
 from ..fuzzy.crisp import CrispNumber
 from ..join.merge_join import MergeJoin
+from ..join.predicates import PairDegree
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
 from .aggregates import DegreePolicy, apply_aggregate
@@ -112,20 +113,7 @@ class JAPipeline:
         # the binary-identity grouping Theorem 6.1 relies on.
         groups: Dict[Hashable, Optional[Tuple[object, float]]] = {}
 
-        def pair(r: FuzzyTuple, s: FuzzyTuple, st: Optional[OperationStats]) -> float:
-            u = r[self.u_index]
-            if u.key() in groups:
-                return 0.0  # group already aggregated; skip S work entirely
-            if st is not None:
-                st.count_fuzzy()
-            if not intervals_intersect(u, s[self.v_index]):
-                return 0.0
-            degree = min(s.degree, possibility(s[self.v_index], Op.EQ, u))
-            if degree > 0.0 and self.p2 is not None:
-                if st is not None:
-                    st.count_fuzzy()
-                degree = min(degree, self.p2(s))
-            return degree
+        pair = self._pair_degree(groups)
 
         def init(_r: FuzzyTuple):
             return {}
@@ -163,6 +151,58 @@ class JAPipeline:
         if om is not None:
             om.wall_seconds += time.perf_counter() - started
         return answer
+
+    def _pair_degree(self, groups: Dict[Hashable, object]) -> PairDegree:
+        """The ``T'(u)`` membership of ``s`` for the group of ``r.U``, with its
+        window form as ``.block``.
+
+        Zero, and uncharged, once the group of ``r.U`` is in ``groups``
+        (already aggregated); otherwise one fuzzy evaluation, plus one for
+        ``p2`` when the link is positive.
+        """
+
+        def pair(r: FuzzyTuple, s: FuzzyTuple, st: Optional[OperationStats]) -> float:
+            u = r[self.u_index]
+            if u.key() in groups:
+                return 0.0  # group already aggregated; skip S work entirely
+            if st is not None:
+                st.count_fuzzy()
+            if not intervals_intersect(u, s[self.v_index]):
+                return 0.0
+            degree = min(s.degree, possibility(s[self.v_index], Op.EQ, u))
+            if degree > 0.0 and self.p2 is not None:
+                if st is not None:
+                    st.count_fuzzy()
+                degree = min(degree, self.p2(s))
+            return degree
+
+        def block(r: FuzzyTuple, tuples, st: Optional[OperationStats], kernel) -> List[float]:
+            degrees = [0.0] * len(tuples)
+            u = r[self.u_index]
+            if u.key() in groups:
+                return degrees
+            if st is not None:
+                st.count_fuzzy(len(tuples))
+            v_index = self.v_index
+            live = [i for i, s in enumerate(tuples) if intervals_intersect(u, s[v_index])]
+            if not live:
+                return degrees
+            # S value on the left, as in the per-pair form: bit-identical.
+            found = kernel.batch(
+                u, Op.EQ, [tuples[i][v_index] for i in live], probe_on_left=False
+            )
+            for i, d in zip(live, found):
+                degrees[i] = min(tuples[i].degree, d)
+            if self.p2 is not None:
+                live = [i for i in live if degrees[i] > 0.0]
+                if live and st is not None:
+                    st.count_fuzzy(len(live))
+                for i in live:
+                    degrees[i] = min(degrees[i], self.p2(tuples[i]))
+            return degrees
+
+        pair.block = block
+        return pair
 
     def _fold_answer(self, folded, groups, stats, om) -> FuzzyRelation:
         answer = FuzzyRelation(self.outer.schema.project(self.project_attrs))

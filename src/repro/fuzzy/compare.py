@@ -323,6 +323,8 @@ def _as_point(dist: Distribution) -> Optional[Tuple[object, float]]:
     Covers :class:`CrispNumber`, :class:`CrispLabel`, degenerate trapezoids
     (``a == d``), and single-element discrete distributions.
     """
+    if type(dist) is TrapezoidalNumber:  # skip two failing ABC checks
+        return (dist.a, 1.0) if dist.a == dist.d else None
     if isinstance(dist, CrispNumber):
         return (dist.value, 1.0)
     if isinstance(dist, CrispLabel):
@@ -362,14 +364,19 @@ def _as_columns(values: Sequence[Distribution]):
     col_d: List[float] = []
     kinds: List[int] = []
     for value in values:
-        if isinstance(value, CrispNumber):
+        # Exact-type tests first: a failed isinstance against these ABC
+        # subclasses runs the slow ABCMeta.__instancecheck__.
+        cls = type(value)
+        if cls is CrispNumber or (
+            cls is not TrapezoidalNumber and isinstance(value, CrispNumber)
+        ):
             v = value.value
             col_a.append(v)
             col_b.append(v)
             col_e.append(v)
             col_d.append(v)
             kinds.append(KIND_POINT)
-        elif isinstance(value, TrapezoidalNumber):
+        elif cls is TrapezoidalNumber or isinstance(value, TrapezoidalNumber):
             col_a.append(value.a)
             col_b.append(value.b)
             col_e.append(value.c)
@@ -384,19 +391,21 @@ class ComparisonKernel:
     """Batched, memoized evaluation of ``d(probe op candidate)``.
 
     The merge-join inner loop evaluates one probe value against every
-    candidate resident in the sliding window; the associative-array view of
-    fuzzy relations shows that this is a *block* operation, not ``k``
-    independent ones.  :meth:`batch` evaluates one probe distribution
-    against a block of candidates in a single call and stores every degree
-    in a bounded LRU memo keyed on ``(probe.key(), op, candidate.key())``,
-    so repeated pairs — ubiquitous when attribute values are drawn from a
-    small vocabulary of linguistic terms — are computed once per query.
+    candidate the window examines; the associative-array view of fuzzy
+    relations shows that this is a *block* operation, not ``k``
+    independent ones.  :meth:`batch` therefore is the unit of work: the
+    join's block-degree functions call it once per predicate and window,
+    and the degrees it returns are the ones the fold consumes.  Every
+    degree is also kept in a bounded LRU memo keyed on
+    ``(left.key(), op symbol, right.key())``, so repeated pairs —
+    ubiquitous when attribute values are drawn from a small vocabulary of
+    linguistic terms — are computed once per query.
 
-    The kernel is thread-safe (a single lock guards the memo) so one
-    instance can be shared by all partition workers of a parallel join.
-    Memo hits deliberately do **not** change the ``fuzzy_evaluations``
-    accounting done by callers: the counters measure logical work, keeping
-    EXPLAIN ANALYZE output bit-identical with and without the kernel.
+    The kernel is thread-safe (a single lock guards the memo, taken once
+    per block) so one instance can be shared by all partition workers of
+    a parallel join.  The kernel charges no counters: callers charge
+    ``fuzzy_evaluations`` for the logical work, so memo hits never change
+    EXPLAIN ANALYZE output.
     """
 
     __slots__ = ("capacity", "_memo", "_lock", "hits", "misses")
@@ -415,7 +424,9 @@ class ComparisonKernel:
 
     def possibility(self, left: Distribution, op: Op, right: Distribution) -> float:
         """Memoized ``possibility(left, op, right)``."""
-        key = (left.key(), op, right.key())
+        # ``_value_`` (the symbol) keys the memo: hashing the member itself
+        # would run the Python-level ``Enum.__hash__`` on every lookup.
+        key = (left.key(), op._value_, right.key())
         with self._lock:
             cached = self._memo.get(key)
             if cached is not None:
@@ -423,45 +434,60 @@ class ComparisonKernel:
                 self.hits += 1
                 return cached
         degree = possibility(left, op, right)
-        self._store(key, degree)
+        self._store([key], [degree])
         return degree
 
     def batch(
-        self, probe: Distribution, op: Op, candidates: Sequence[Distribution]
+        self,
+        probe: Distribution,
+        op: Op,
+        candidates: Sequence[Distribution],
+        probe_on_left: bool = True,
     ) -> List[float]:
-        """Degrees of one probe against a block of candidates, priming the memo.
+        """Degrees of one probe against a block of candidates.
 
-        Equivalent to ``[possibility(probe, op, c) for c in candidates]``
-        but resolves the probe's key once and fills the memo in a single
-        pass, which is what both join paths call per window scan.  Memo
-        misses for an equality over purely crisp/trapezoidal operands are
-        computed by the vectorized column kernel
-        (:func:`repro.columnar.kernel.batch_eq_possibility`) in one sweep
-        — bit-identical to the scalar library by that kernel's contract —
-        instead of ``k`` dispatches through :func:`possibility`.
+        Equal, bit for bit, to ``[possibility(probe, op, c) for c in
+        candidates]``, or to ``[possibility(c, op, probe) ...]`` with
+        ``probe_on_left=False`` (the orientation of the columnar kernels'
+        flag of the same name).  The memo is consulted and filled under
+        one lock acquisition each; the misses of an equality or order
+        comparison over purely crisp/trapezoidal operands are computed by
+        the vectorized column kernels of :mod:`repro.columnar.kernel` in
+        one sweep, the rest by the scalar library.
         """
         probe_key = probe.key()
-        degrees: List[Optional[float]] = [None] * len(candidates)
+        op_key = op._value_
+        if probe_on_left:
+            keys = [(probe_key, op_key, c.key()) for c in candidates]
+        else:
+            keys = [(c.key(), op_key, probe_key) for c in candidates]
+        memo = self._memo
+        degrees: List[Optional[float]] = []
         missing: List[int] = []
-        for i, candidate in enumerate(candidates):
-            key = (probe_key, op, candidate.key())
-            with self._lock:
-                cached = self._memo.get(key)
-                if cached is not None:
-                    self._memo.move_to_end(key)
-                    self.hits += 1
-                    degrees[i] = cached
-                    continue
-            missing.append(i)
+        with self._lock:
+            for i, key in enumerate(keys):
+                cached = memo.get(key)
+                if cached is None:
+                    missing.append(i)
+                else:
+                    memo.move_to_end(key)
+                degrees.append(cached)
+            self.hits += len(keys) - len(missing)
         if missing:
-            computed = self._compute_block(probe, op, [candidates[i] for i in missing])
+            computed = self._compute_block(
+                probe, op, [candidates[i] for i in missing], probe_on_left
+            )
+            self._store([keys[i] for i in missing], computed)
             for i, degree in zip(missing, computed):
-                self._store((probe_key, op, candidates[i].key()), degree)
                 degrees[i] = degree
         return degrees
 
     def _compute_block(
-        self, probe: Distribution, op: Op, block: Sequence[Distribution]
+        self,
+        probe: Distribution,
+        op: Op,
+        block: Sequence[Distribution],
+        probe_on_left: bool,
     ) -> List[float]:
         """Degrees for the memo misses — vectorized when the shapes allow."""
         vectorized = op in (Op.EQ, Op.LT, Op.LE, Op.GT, Op.GE)
@@ -474,28 +500,31 @@ class ComparisonKernel:
             )
 
             if op is Op.EQ:
-                return batch_eq_possibility(probe, *columns, probe_on_left=True)
-            # The scalar library evaluates GT/GE as flipped LT/LE, so the
-            # orientation flag encodes the operator pair: probe-left LT is
-            # "probe < value_i", probe-left GT is "value_i < probe".
-            if op in (Op.LT, Op.GT):
-                return batch_lt_possibility(
-                    probe, *columns, probe_on_left=(op is Op.LT)
+                return batch_eq_possibility(
+                    probe, *columns, probe_on_left=probe_on_left
                 )
-            return batch_le_possibility(
-                probe, *columns, probe_on_left=(op is Op.LE)
-            )
-        return [possibility(probe, op, candidate) for candidate in block]
+            # The scalar library evaluates GT/GE as flipped LT/LE, so the
+            # column kernels' orientation flag encodes the operator pair:
+            # "probe < value_i" and "value_i > probe" are the same sweep.
+            flag = probe_on_left == (op in (Op.LT, Op.LE))
+            if op in (Op.LT, Op.GT):
+                return batch_lt_possibility(probe, *columns, probe_on_left=flag)
+            return batch_le_possibility(probe, *columns, probe_on_left=flag)
+        if probe_on_left:
+            return [possibility(probe, op, candidate) for candidate in block]
+        return [possibility(candidate, op, probe) for candidate in block]
 
-    def _store(self, key: Tuple, degree: float) -> None:
+    def _store(self, keys: Sequence[Tuple], degrees: Sequence[float]) -> None:
         with self._lock:
-            self.misses += 1
+            self.misses += len(keys)
             if self.capacity == 0:
                 return
-            self._memo[key] = degree
-            self._memo.move_to_end(key)
-            while len(self._memo) > self.capacity:
-                self._memo.popitem(last=False)
+            memo = self._memo
+            for key, degree in zip(keys, degrees):
+                memo[key] = degree
+                memo.move_to_end(key)
+            while len(memo) > self.capacity:
+                memo.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._memo)

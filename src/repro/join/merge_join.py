@@ -26,13 +26,13 @@ from collections import deque
 from typing import Callable, Iterator, Tuple, TypeVar
 
 from ..data.tuples import FuzzyTuple
-from ..fuzzy.compare import ComparisonKernel, Op
+from ..fuzzy.compare import ComparisonKernel
 from ..fuzzy.interval_order import sort_key
 from ..sort.external import ExternalSorter
 from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
-from .predicates import PairDegree
+from .predicates import BlockDegree, PairDegree, block_degree_of
 
 JOIN_PHASE = "join"
 
@@ -80,21 +80,23 @@ class MergeJoin:
         the fold's neutral element (0 for joins, ``mu_R(r)`` for the
         grouped anti-joins).
 
-        ``kernel`` attaches a :class:`~repro.fuzzy.compare.ComparisonKernel`:
-        each window scan primes the kernel's memo with one *batched*
-        equality evaluation of the probe value against the resident block,
-        so a pair degree built over the same kernel hits the memo instead
-        of recomputing.  Counters are unaffected (the kernel charges
-        nothing; predicate evaluation keeps its own accounting), so
-        kernel-on and kernel-off runs are bit-identical in both answers
-        and EXPLAIN ANALYZE output."""
+        The window, not the pair, is the unit of work: for each R-tuple
+        the join collects the block of S-tuples it examines and scores the
+        whole block with one call of the pair degree's block form (see
+        :func:`~repro.join.predicates.block_degree_of`), which evaluates
+        each predicate with one
+        :meth:`~repro.fuzzy.compare.ComparisonKernel.batch` call.  The
+        join always owns a kernel — ``kernel`` (shared, e.g. by the
+        partition workers of one execution) or a fresh one.  Kernels
+        charge no counters, so answers and EXPLAIN ANALYZE output do not
+        depend on which kernel, or which memo state, a join runs with."""
         self.disk = disk
         self.buffer_pages = buffer_pages
         self.stats = stats
         self.indicator = indicator
         self.metrics = metrics
         self.tracer = tracer
-        self.kernel = kernel
+        self.kernel = kernel if kernel is not None else ComparisonKernel()
 
     # ------------------------------------------------------------------
     # High-level API
@@ -134,11 +136,12 @@ class MergeJoin:
 
         ``init(r)`` seeds the accumulator (it must already account for the
         S-tuples *outside* ``Rng(r)``, whose predicates are unsatisfiable);
-        ``step`` is invoked once per examined pair with its degree.  Yields
-        ``(r, final_state)`` in R's sorted order.
+        ``step`` is invoked once per examined pair with its degree, in
+        window order.  Yields ``(r, final_state)`` in R's sorted order.
         """
         from ..observe.trace import maybe_span
 
+        block_degree = block_degree_of(pair_degree)
         with self.disk.use_stats(self.stats):
             sorter = ExternalSorter(
                 self.disk, self.buffer_pages, self.stats,
@@ -155,7 +158,7 @@ class MergeJoin:
                     self.tracer, f"probe {outer.name} x {inner.name}"
                 ):
                     yield from self._join_phase(
-                        sorted_r, outer_attr, sorted_s, inner_attr, pair_degree, init, step
+                        sorted_r, outer_attr, sorted_s, inner_attr, block_degree, init, step
                     )
             finally:
                 if sorted_r is not None:
@@ -172,10 +175,14 @@ class MergeJoin:
         outer_attr: str,
         sorted_s: HeapFile,
         inner_attr: str,
-        pair_degree: PairDegree,
+        block_degree: BlockDegree,
         init: Callable[[FuzzyTuple], State],
         step: Callable[[State, FuzzyTuple, float], State],
     ) -> Iterator[Tuple[FuzzyTuple, State]]:
+        stats = self.stats
+        kernel = self.kernel
+        indicator = self.indicator
+        decode = sorted_r.serializer.decode
         r_index = sorted_r.schema.index_of(outer_attr)
         s_index = sorted_s.schema.index_of(inner_attr)
         window: "deque[_WindowEntry]" = deque()
@@ -186,12 +193,15 @@ class MergeJoin:
         for r_page in range(sorted_r.n_pages):
             page = self.disk.read_page(sorted_r.name, r_page)
             for record in page.records():
-                r = sorted_r.serializer.decode(record)
+                r = decode(record)
                 rb, re_ = sort_key(r[r_index])
+                # Crisp comparisons are tallied here and charged once per
+                # R-tuple (and before any window-overflow check).
+                crisp = 0
 
                 # Retire S-tuples that precede every remaining R-tuple.
                 while window:
-                    self.stats.count_crisp()
+                    crisp += 1
                     if window[0].e < rb:
                         retired = window.popleft()
                         if not window or window[0].page != retired.page:
@@ -201,42 +211,19 @@ class MergeJoin:
 
                 state = init(r)
 
-                # Examine resident window tuples beginning at or before e(r.X).
+                # The examined block: resident window tuples beginning at
+                # or before e(r.X), then the tuples the window extends by.
+                block = []
                 scan_done = False
-                if self.kernel is not None:
-                    # Batched path: collect the resident block first (same
-                    # crisp accounting as the per-entry scan), evaluate the
-                    # probe against the whole block in one kernel call to
-                    # prime the memo, then fold — the pair degree's own
-                    # evaluations resolve to memo hits.
-                    block = []
-                    for entry in window:
-                        self.stats.count_crisp()
-                        if entry.b > re_:
-                            scan_done = True
-                            break
-                        if self.indicator and entry.e < rb:
-                            self.stats.count_crisp()  # the indicator test
-                            continue  # dangling: provably non-intersecting
-                        block.append(entry)
-                    if block:
-                        self.kernel.batch(
-                            r[r_index], Op.EQ, [e.tuple[s_index] for e in block]
-                        )
-                    for entry in block:
-                        state = step(
-                            state, entry.tuple, pair_degree(r, entry.tuple, self.stats)
-                        )
-                else:
-                    for entry in window:
-                        self.stats.count_crisp()
-                        if entry.b > re_:
-                            scan_done = True
-                            break
-                        if self.indicator and entry.e < rb:
-                            self.stats.count_crisp()  # the indicator test
-                            continue  # dangling: provably non-intersecting
-                        state = step(state, entry.tuple, pair_degree(r, entry.tuple, self.stats))
+                for entry in window:
+                    crisp += 1
+                    if entry.b > re_:
+                        scan_done = True
+                        break
+                    if indicator and entry.e < rb:
+                        crisp += 1  # the indicator test
+                        continue  # dangling: provably non-intersecting
+                    block.append(entry.tuple)
 
                 # Extend the window from the S stream until past e(r.X).
                 while not scan_done and not exhausted:
@@ -246,17 +233,24 @@ class MergeJoin:
                         break
                     if not window or window[-1].page != entry.page:
                         window_pages += 1
+                        stats.count_crisp(crisp)
+                        crisp = 0
                         self._check_window(window_pages)
                     window.append(entry)
-                    self.stats.count_crisp()
+                    crisp += 1
                     if entry.b > re_:
                         scan_done = True
                         break
-                    if self.indicator and entry.e < rb:
-                        self.stats.count_crisp()  # the indicator test
+                    if indicator and entry.e < rb:
+                        crisp += 1  # the indicator test
                         continue
-                    state = step(state, entry.tuple, pair_degree(r, entry.tuple, self.stats))
+                    block.append(entry.tuple)
 
+                if crisp:
+                    stats.count_crisp(crisp)
+                if block:
+                    for s, degree in zip(block, block_degree(r, block, stats, kernel)):
+                        state = step(state, s, degree)
                 yield r, state
 
     def _s_tuples(self, sorted_s: HeapFile, s_index: int) -> Iterator[_WindowEntry]:

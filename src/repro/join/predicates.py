@@ -9,11 +9,19 @@ Every pair degree the unnesting rewrites need is a composition of
 
 Each evaluated predicate charges one fuzzy evaluation to the stats object;
 conjunctions short-circuit on 0 exactly like a real evaluator would.
+
+Every builder returns a per-pair :data:`PairDegree` that also carries its
+window form as ``.block`` (a :data:`BlockDegree`): the merge-join scores
+all the S-tuples one R-tuple examines at once, with one
+:meth:`~repro.fuzzy.compare.ComparisonKernel.batch` call per predicate.
+The block form evaluates a later predicate only on the entries still
+nonzero and charges exactly what the per-pair form would, so both return
+bit-identical degrees and counters.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..data.schema import Schema
 from ..data.tuples import FuzzyTuple
@@ -67,11 +75,72 @@ class JoinPredicate:
             return kernel.possibility(left, self.op, right)
         return possibility(left, self.op, right)
 
+    def block_degrees(
+        self,
+        r: FuzzyTuple,
+        tuples: Sequence[FuzzyTuple],
+        stats: Optional[OperationStats],
+        kernel: ComparisonKernel,
+    ) -> List[float]:
+        """:meth:`degree` of ``r`` against every tuple of ``tuples``, in order,
+        charging ``len(tuples)`` fuzzy evaluations."""
+        if stats is not None:
+            stats.count_fuzzy(len(tuples))
+        left = r[self.left_index]
+        index = self.right_index
+        values = [s.values[index] for s in tuples]
+        if self.op is Op.SIMILAR:
+            return [self.similarity.degree(left, value) for value in values]
+        return kernel.batch(left, self.op, values)
+
     def __repr__(self) -> str:
         return f"JoinPredicate(R.{self.left_attr} {self.op.value} S.{self.right_attr})"
 
 
 PairDegree = Callable[[FuzzyTuple, FuzzyTuple, Optional[OperationStats]], float]
+
+#: ``block(r, tuples, stats, kernel)``: the pair degrees of ``r`` against
+#: every tuple of ``tuples``, in order, as one list.
+BlockDegree = Callable[
+    [FuzzyTuple, Sequence[FuzzyTuple], Optional[OperationStats], ComparisonKernel],
+    List[float],
+]
+
+
+def block_degree_of(pair_degree: PairDegree) -> BlockDegree:
+    """The window form of ``pair_degree``.
+
+    The builders of this module (and the grouped and pipelined
+    strategies) attach theirs as ``pair_degree.block``; any other
+    per-pair callable is lifted to a loop over the block.
+    """
+    block = getattr(pair_degree, "block", None)
+    if block is not None:
+        return block
+
+    def lifted(r, tuples, stats, _kernel):
+        return [pair_degree(r, s, stats) for s in tuples]
+
+    return lifted
+
+
+def conjoin(
+    degrees: List[float],
+    predicates: Sequence[JoinPredicate],
+    r: FuzzyTuple,
+    tuples: Sequence[FuzzyTuple],
+    stats: Optional[OperationStats],
+    kernel: ComparisonKernel,
+) -> None:
+    """``degrees[i] = min(degrees[i], d(p)...)`` in place, short-circuiting
+    each entry at 0 exactly like the per-pair loops."""
+    for p in predicates:
+        live = [i for i, d in enumerate(degrees) if d != 0.0]
+        if not live:
+            return
+        found = p.block_degrees(r, [tuples[i] for i in live], stats, kernel)
+        for i, d in zip(live, found):
+            degrees[i] = min(degrees[i], d)
 
 
 def join_degree(
@@ -87,6 +156,13 @@ def join_degree(
             d = min(d, p.degree(r, s, stats, kernel))
         return d
 
+    def block(r, tuples, stats, kernel):
+        rd = r.degree
+        degrees = [min(rd, s.degree) for s in tuples]
+        conjoin(degrees, predicates, r, tuples, stats, kernel)
+        return degrees
+
+    degree.block = block
     return degree
 
 
@@ -107,6 +183,13 @@ def antijoin_degree(
             inner = min(inner, p.degree(r, s, stats, kernel))
         return min(r.degree, 1.0 - inner)
 
+    def block(r, tuples, stats, kernel):
+        inner = [s.degree for s in tuples]
+        conjoin(inner, predicates, r, tuples, stats, kernel)
+        rd = r.degree
+        return [min(rd, 1.0 - d) for d in inner]
+
+    degree.block = block
     return degree
 
 
@@ -131,4 +214,16 @@ def all_quantifier_degree(
             inner = min(inner, 1.0 - compare.degree(r, s, stats, kernel))
         return min(r.degree, 1.0 - inner)
 
+    def block(r, tuples, stats, kernel):
+        inner = [s.degree for s in tuples]
+        conjoin(inner, join_predicates, r, tuples, stats, kernel)
+        live = [i for i, d in enumerate(inner) if d > 0.0]
+        if live:
+            found = compare.block_degrees(r, [tuples[i] for i in live], stats, kernel)
+            for i, d in zip(live, found):
+                inner[i] = min(inner[i], 1.0 - d)
+        rd = r.degree
+        return [min(rd, 1.0 - d) for d in inner]
+
+    degree.block = block
     return degree

@@ -89,11 +89,11 @@ def replicate_inner(
     ok = False
     try:
         with disk.use_stats(stats), stats.enter_phase(PARTITION_PHASE):
+            key_value = inner.serializer.decode_attribute
             for page_index in range(inner.n_pages):
                 page = disk.read_page(inner.name, page_index)
                 for record in page.records():
-                    s = inner.serializer.decode(record)
-                    b, e = sort_key(s[key_index])
+                    b, e = sort_key(key_value(record, key_index))
                     for i, band in enumerate(bands):
                         if band is None:
                             continue
@@ -101,7 +101,7 @@ def replicate_inner(
                         stats.count_crisp()
                         if e >= low and b <= high:
                             stats.count_move()
-                            writers[i].append(s)
+                            writers[i].append_record(record)
                             counts[i] += 1
             for writer in writers:
                 if writer is not None:
@@ -257,7 +257,7 @@ class PartitionedMergeJoin:
                 for page_index in range(part.n_pages):
                     page = self.disk.read_page(part.name, page_index)
                     for record in page.records():
-                        b, e = sort_key(part.serializer.decode(record)[key_index])
+                        b, e = sort_key(part.serializer.decode_attribute(record, key_index))
                         self.stats.count_crisp(2)
                         low = b if low is None or b < low else low
                         high = e if high is None or e > high else high

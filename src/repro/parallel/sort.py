@@ -64,13 +64,13 @@ def partition_heap(
     ok = False
     try:
         with disk.use_stats(stats), stats.enter_phase(PARTITION_PHASE):
+            key_value = source.serializer.decode_attribute
             for page_index in range(source.n_pages):
                 page = disk.read_page(source.name, page_index)
                 for record in page.records():
-                    t = source.serializer.decode(record)
-                    i = partitioner.partition_index(t[key_index])
+                    i = partitioner.partition_index(key_value(record, key_index))
                     stats.count_move()
-                    writers[i].append(t)
+                    writers[i].append_record(record)
                     counts[i] += 1
             for writer in writers:
                 writer.close()

@@ -6,15 +6,19 @@ transfer is charged to the "sort" phase so Table 3's sorting-share rows can
 be reproduced.  Comparisons follow the paper's two-step rule — left
 endpoints first, right endpoints on ties — and each endpoint comparison is
 charged as one crisp comparison.
+
+Tuples travel through the sort as their record bytes: run generation
+decodes only the sort attribute of each record, and runs, merges and the
+output append the original bytes unchanged (the codec round-trips, so the
+pages are the ones re-encoding would have written).
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
-from ..data.tuples import FuzzyTuple
 from ..fuzzy.interval_order import sort_key
 from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
@@ -25,28 +29,31 @@ SORT_PHASE = "sort"
 
 
 class _CountingKey:
-    """Sort key that charges interval comparisons to the stats object.
+    """Sort key that counts its interval comparisons.
 
     Comparing two keys costs one crisp comparison for the left endpoints
     and, only on a tie, a second one for the right endpoints — exactly the
-    "two comparisons may be needed" accounting in Section 3.
+    "two comparisons may be needed" accounting in Section 3.  The count
+    accumulates in ``tally[0]`` (the ``[crisp comparisons, tuple moves]``
+    tally of one run or merge), which the sorter charges to the stats
+    object in one call.
     """
 
-    __slots__ = ("b", "e", "stats")
+    __slots__ = ("b", "e", "tally")
 
-    def __init__(self, value, stats: OperationStats):
+    def __init__(self, value, tally: List[int]):
         self.b, self.e = sort_key(value)
-        self.stats = stats
+        self.tally = tally
 
     def __lt__(self, other: "_CountingKey") -> bool:
-        self.stats.count_crisp()
         if self.b != other.b:
+            self.tally[0] += 1
             return self.b < other.b
-        self.stats.count_crisp()
+        self.tally[0] += 2
         return self.e < other.e
 
     def __eq__(self, other) -> bool:
-        self.stats.count_crisp(2)
+        self.tally[0] += 2
         return (self.b, self.e) == (other.b, other.e)
 
 
@@ -165,34 +172,37 @@ class ExternalSorter:
     # ------------------------------------------------------------------
     def _generate_runs(self, source: HeapFile, key_index: int, live: List[str]) -> List[str]:
         runs: List[str] = []
-        batch: List[FuzzyTuple] = []
+        batch: List[Tuple[object, bytes]] = []
         batch_pages = 0
+        key_value = source.serializer.decode_attribute
         for page_index in range(source.n_pages):
             page = self.disk.read_page(source.name, page_index)
             for record in page.records():
-                batch.append(source.serializer.decode(record))
+                batch.append((key_value(record, key_index), record))
             batch_pages += 1
             if batch_pages >= self.buffer_pages:
-                runs.append(self._write_run(source, batch, key_index, live))
+                runs.append(self._write_run(source, batch, live))
                 batch, batch_pages = [], 0
         if batch:
-            runs.append(self._write_run(source, batch, key_index, live))
+            runs.append(self._write_run(source, batch, live))
         return runs
 
     def _write_run(
-        self, source: HeapFile, batch: List[FuzzyTuple], key_index: int, live: List[str]
+        self, source: HeapFile, batch: List[Tuple[object, bytes]], live: List[str]
     ) -> str:
-        batch.sort(key=lambda t: _CountingKey(t[key_index], self.stats))
+        tally = [0, 0]
+        batch.sort(key=lambda item: _CountingKey(item[0], tally))
         name = fresh_run_name(source.name)
         live.append(name)
         writer = RunWriter(self.disk, name, source.serializer)
         ok = False
         try:
-            for t in batch:
-                self.stats.count_move()
-                writer.append(t)
+            for _value, record in batch:
+                tally[1] += 1
+                writer.append_record(record)
             ok = True
         finally:
+            self._charge(tally)
             if ok:
                 writer.close()
             else:
@@ -225,12 +235,14 @@ class ExternalSorter:
                 name = fresh_run_name(source.name)
                 live.append(name)
                 writer = RunWriter(self.disk, name, source.serializer)
+                tally = [0, 0]
                 ok = False
                 try:
-                    for t in self._merged(source, group, key_index):
-                        writer.append(t)
+                    for data in self._merged(source, group, key_index, tally):
+                        writer.append_record(data)
                     ok = True
                 finally:
+                    self._charge(tally)
                     if ok:
                         writer.close()
                     else:
@@ -245,24 +257,52 @@ class ExternalSorter:
     ) -> HeapFile:
         self.disk.delete(out_name)
         out = HeapFile(out_name, source.schema, self.disk, source.serializer.fixed_size)
-        out.load(self._merged(source, runs, key_index))
+        tally = [0, 0]
+        try:
+            out.load_records(self._merged(source, runs, key_index, tally))
+        finally:
+            self._charge(tally)
         drop_runs(self.disk, runs)
         return out
 
-    def _merged(self, source: HeapFile, runs: List[str], key_index: int) -> Iterator[FuzzyTuple]:
-        readers = [iter(RunReader(self.disk, name, source.serializer)) for name in runs]
+    def _charge(self, tally: List[int]) -> None:
+        """Charge a ``[crisp comparisons, tuple moves]`` tally (nonzero
+        entries only: an empty sort opens no counters)."""
+        if tally[0]:
+            self.stats.count_crisp(tally[0])
+        if tally[1]:
+            self.stats.count_move(tally[1])
+
+    def _merged(
+        self, source: HeapFile, runs: List[str], key_index: int, tally: List[int]
+    ) -> Iterator[bytes]:
+        """The records of ``runs`` in key order, tallying into ``tally``.
+
+        Heap entries are ``(key, run index, record)``: ties on the key fall
+        to the run index, so records are never compared.  The caller
+        charges ``tally`` (in a ``finally``, so a fault mid-merge still
+        charges the work done).
+        """
+        readers = [iter(RunReader(self.disk, name)) for name in runs]
+        if len(readers) == 1:
+            # A one-way merge compares nothing: copy the run through.
+            for record in readers[0]:
+                tally[1] += 1
+                yield record
+            return
+        key_value = source.serializer.decode_attribute
         heap = []
         for i, reader in enumerate(readers):
             first = next(reader, None)
             if first is not None:
-                heap.append((_CountingKey(first[key_index], self.stats), i, first))
+                heap.append((_CountingKey(key_value(first, key_index), tally), i, first))
         heapq.heapify(heap)
         while heap:
-            key, i, t = heapq.heappop(heap)
-            self.stats.count_move()
-            yield t
+            _key, i, record = heapq.heappop(heap)
+            tally[1] += 1
+            yield record
             successor = next(readers[i], None)
             if successor is not None:
                 heapq.heappush(
-                    heap, (_CountingKey(successor[key_index], self.stats), i, successor)
+                    heap, (_CountingKey(key_value(successor, key_index), tally), i, successor)
                 )

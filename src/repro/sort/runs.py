@@ -32,7 +32,10 @@ class RunWriter:
 
     def append(self, t: FuzzyTuple) -> None:
         """Serialize one tuple into the run, spilling the page when it fills."""
-        record = self.serializer.encode(t)
+        self.append_record(self.serializer.encode(t))
+
+    def append_record(self, record: bytes) -> None:
+        """Append one already-encoded record, spilling the page when it fills."""
         if not self._page.fits(record):
             self.disk.append_page(self.name, self._page)
             self._page = Page(self.disk.page_size)
@@ -51,18 +54,15 @@ class RunWriter:
 
 
 class RunReader:
-    """Reads a run back sequentially, charging one read per page."""
+    """Reads a run's records back sequentially, charging one read per page."""
 
-    def __init__(self, disk: SimulatedDisk, name: str, serializer: TupleSerializer):
+    def __init__(self, disk: SimulatedDisk, name: str):
         self.disk = disk
         self.name = name
-        self.serializer = serializer
 
-    def __iter__(self) -> Iterator[FuzzyTuple]:
+    def __iter__(self) -> Iterator[bytes]:
         for index in range(self.disk.n_pages(self.name)):
-            page = self.disk.read_page(self.name, index)
-            for record in page.records():
-                yield self.serializer.decode(record)
+            yield from self.disk.read_page(self.name, index).records()
 
 
 def drop_runs(disk: SimulatedDisk, names: List[str]) -> None:

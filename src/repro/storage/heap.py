@@ -52,10 +52,19 @@ class HeapFile:
         to rebuild postings from in-memory rows without re-scanning the
         freshly written pages.
         """
+        encode = self.serializer.encode
+        return self.load_records((encode(t) for t in tuples), placements)
+
+    def load_records(
+        self,
+        records: Iterable[bytes],
+        placements: Optional[List[Tuple[int, int]]] = None,
+    ) -> "HeapFile":
+        """:meth:`load` for records already encoded by this file's serializer
+        (the external sort writes its output this way, never re-encoding)."""
         page = Page(self.disk.page_size)
         page_index = self.n_pages
-        for t in tuples:
-            record = self.serializer.encode(t)
+        for record in records:
             if not page.fits(record):
                 if len(page) == 0:
                     raise PageFullError(

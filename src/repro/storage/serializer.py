@@ -32,6 +32,9 @@ from ..fuzzy.trapezoid import TrapezoidalNumber
 
 _F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
+_4F64 = struct.Struct(">dddd")
+_TAGGED_F64 = struct.Struct(">cd")
+_TAGGED_4F64 = struct.Struct(">cdddd")
 
 
 class SerializationError(ValueError):
@@ -40,6 +43,13 @@ class SerializationError(ValueError):
 
 def encode_value(value: Distribution) -> bytes:
     """Serialize one distribution to its tagged byte form."""
+    # Exact-type dispatch first: the two numeric shapes pack with one
+    # struct call; subclasses take the isinstance chain below.
+    cls = type(value)
+    if cls is CrispNumber:
+        return _TAGGED_F64.pack(b"N", value.value)
+    if cls is TrapezoidalNumber:
+        return _TAGGED_4F64.pack(b"T", value.a, value.b, value.c, value.d)
     if isinstance(value, CrispNumber):
         return b"N" + _F64.pack(value.value)
     if isinstance(value, CrispLabel):
@@ -74,7 +84,7 @@ def decode_value(data: bytes, offset: int) -> Tuple[Distribution, int]:
         offset += 2
         return CrispLabel(data[offset:offset + n].decode("utf-8")), offset + n
     if tag == b"T":
-        a, b, c, d = struct.unpack_from(">dddd", data, offset)
+        a, b, c, d = _4F64.unpack_from(data, offset)
         return TrapezoidalNumber(a, b, c, d), offset + 32
     if tag == b"D":
         (count,) = _U16.unpack_from(data, offset)
@@ -84,12 +94,28 @@ def decode_value(data: bytes, offset: int) -> Tuple[Distribution, int]:
             element, offset = decode_value(data, offset)
             (degree,) = _F64.unpack_from(data, offset)
             offset += 8
-            if isinstance(element, CrispNumber):
-                items[element.value] = degree
-            else:
-                items[element.value] = degree
+            items[element.value] = degree
         return DiscreteDistribution(items), offset
     raise SerializationError(f"unknown value tag {tag!r} at offset {offset - 1}")
+
+
+def _skip_value(data: bytes, offset: int) -> int:
+    """The offset just past the tagged distribution at ``offset``, building
+    no objects (sort keys sit behind other attributes in wide records)."""
+    tag = data[offset:offset + 1]
+    if tag == b"N":
+        return offset + 9
+    if tag == b"T":
+        return offset + 33
+    if tag == b"L":
+        return offset + 3 + _U16.unpack_from(data, offset + 1)[0]
+    if tag == b"D":
+        (count,) = _U16.unpack_from(data, offset + 1)
+        offset += 3
+        for _ in range(count):
+            offset = _skip_value(data, offset) + 8
+        return offset
+    raise SerializationError(f"unknown value tag {tag!r} at offset {offset}")
 
 
 class TupleSerializer:
@@ -108,7 +134,7 @@ class TupleSerializer:
         """Serialize a tuple (degree then values), padding to the fixed size if set."""
         if len(t) != len(self.schema):
             raise SerializationError("tuple arity does not match serializer schema")
-        body = _F64.pack(t.degree) + b"".join(encode_value(v) for v in t.values)
+        body = _F64.pack(t.degree) + b"".join([encode_value(v) for v in t.values])
         if self.fixed_size is None:
             return body
         if len(body) > self.fixed_size:
@@ -126,6 +152,13 @@ class TupleSerializer:
             value, offset = decode_value(data, offset)
             values.append(value)
         return FuzzyTuple(values, degree)
+
+    def decode_attribute(self, data: bytes, index: int) -> Distribution:
+        """Parse only the value at position ``index`` of an encoded tuple."""
+        offset = 8
+        for _ in range(index):
+            offset = _skip_value(data, offset)
+        return decode_value(data, offset)[0]
 
     def size_of(self, t: FuzzyTuple) -> int:
         """Encoded size in bytes (the fixed size when one is declared)."""

@@ -236,3 +236,33 @@ class TestCommittedBaseline:
             data["workloads"]["wal_recovery"]["rows"]
             == data["workloads"]["wal_ingest"]["rows"]
         )
+
+
+class TestExactCounters:
+    def test_fresh_run_matches_committed_counters_exactly(self, tmp_path):
+        """Counters and rows of every slice equal the committed baseline.
+
+        ``--check`` forgives counter drift within ``COUNTER_TOLERANCE``;
+        the engine's contract is stricter — a change to how work is done
+        (batching, caching, decoding) must leave every counted event and
+        every answer row byte-identical — so this pins them exactly.
+        """
+        env = {key: value for key, value in os.environ.items() if key != "REPRO_SCALE"}
+        proc = subprocess.run(
+            [sys.executable, SCRIPT, "--output", str(tmp_path / "fresh.json")],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        with open(tmp_path / "fresh.json") as handle:
+            fresh = json.load(handle)
+        with open(COMMITTED_BASELINE) as handle:
+            committed = json.load(handle)
+        assert fresh["scale"] == committed["scale"]
+        assert set(fresh["workloads"]) == set(committed["workloads"])
+        for name, base in committed["workloads"].items():
+            assert fresh["workloads"][name]["counters"] == base["counters"], name
+            assert fresh["workloads"][name]["rows"] == base["rows"], name
